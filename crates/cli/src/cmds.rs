@@ -455,8 +455,8 @@ pub fn explore(args: &Args) -> CmdResult {
     let explore_cfg =
         ExploreConfig::default().with_exec_budget(budget).with_inference_cap(1600).with_seed(seed);
     let pic = Pic::new(&ck, &k, &cfg);
-    // Memoize inference: re-proposed schedules across the CTI stream are
-    // served from the cache instead of re-running the model.
+    // Memoize inference across CTIs; repeats within a CTI never reach the
+    // cache, since `explore_mlpct` reuses them itself (`reused` below).
     let cached = CachedPredictor::new(&pic, 4096);
     let service = PredictorService::with(&pic, &cached);
     let mut strat = S1NewBitmap::new();
@@ -485,10 +485,13 @@ pub fn explore(args: &Args) -> CmdResult {
     );
     let ps = service.stats();
     println!(
-        "  predictor: {} via {}, {} model inferences, cache {}/{} hits ({:.0}% hit rate)",
+        "  predictor: {} via {}, {} inferences ({} reused, {} forwards), cache {}/{} hits \
+         ({:.0}% hit rate)",
         cached.name(),
         pic.name(),
         ps.inferences(),
+        ps.reused(),
+        ps.forwards(),
         ps.cache_hits(),
         ps.cache_hits() + ps.cache_misses(),
         ps.hit_rate() * 100.0
@@ -749,7 +752,11 @@ pub fn campaign(args: &Args) -> CmdResult {
     }
     if let Some(stats) = &supervised.predictor_stats {
         println!(
-            "predictor: {} batches, {} degraded, {} fallback predictions",
+            "predictor: {} inferences ({} reused, {} forwards), {} batches, {} degraded, {} \
+             fallback predictions",
+            stats.inferences(),
+            stats.reused(),
+            stats.forwards(),
             stats.batches(),
             stats.degraded_batches(),
             stats.fallback_predictions()

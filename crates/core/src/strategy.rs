@@ -1,7 +1,8 @@
 //! CT-candidate selection strategies (§3.3).
 //!
-//! Given the *predicted* coverage of a candidate CT, a strategy decides
-//! whether it is worth a dynamic execution:
+//! Given the *predicted* coverage of a candidate CT — its positive
+//! (thread, block) set, see [`PositiveSet`] — a strategy decides whether it
+//! is worth a dynamic execution:
 //!
 //! * **S1 — new set of positive blocks**: select if the predicted coverage
 //!   bitmap (as a set of (thread, block) positives) has never been seen.
@@ -17,8 +18,39 @@
 
 use crate::pic::PredictedCoverage;
 use serde::{Deserialize, Serialize};
-use snowcat_kernel::BlockId;
+use snowcat_graph::Vertex;
+use snowcat_kernel::{BlockId, ThreadId};
+use snowcat_vm::BitSet;
 use std::collections::{HashMap, HashSet};
+
+/// The predicted-positive (thread, block) pairs of one CT candidate: all a
+/// [`SelectionStrategy`] decides on. A [`PredictedCoverage`] is one; MLPCT's
+/// per-CTI reuse passes [`PositiveVerts`] instead, so it keeps no graph.
+pub trait PositiveSet {
+    /// Every positive pair, in the graph's vertex order.
+    fn positive_blocks(&self) -> Vec<(ThreadId, BlockId)>;
+}
+
+impl PositiveSet for PredictedCoverage {
+    fn positive_blocks(&self) -> Vec<(ThreadId, BlockId)> {
+        PredictedCoverage::positive_blocks(self)
+    }
+}
+
+/// A positive set given as a bitset over a graph's vertex order.
+#[derive(Debug, Clone, Copy)]
+pub struct PositiveVerts<'g> {
+    /// The vertices the bits index (a candidate shares its base graph's).
+    pub verts: &'g [Vertex],
+    /// Bit `i` set iff `verts[i]` is predicted positive.
+    pub bits: &'g BitSet,
+}
+
+impl PositiveSet for PositiveVerts<'_> {
+    fn positive_blocks(&self) -> Vec<(ThreadId, BlockId)> {
+        self.bits.iter().map(|i| (self.verts[i].thread, self.verts[i].block)).collect()
+    }
+}
 
 /// Serializable snapshot of a strategy's cumulative memory, used by the
 /// campaign supervisor's checkpoint/resume path. Collections are sorted so
@@ -46,9 +78,9 @@ pub enum StrategySnapshot {
 
 /// A candidate-selection strategy.
 pub trait SelectionStrategy: Send {
-    /// Decide whether to execute this candidate; selecting updates the
-    /// strategy's memory.
-    fn select(&mut self, pred: &PredictedCoverage) -> bool;
+    /// Decide whether to execute the candidate with this predicted-positive
+    /// set; selecting updates the strategy's memory.
+    fn select(&mut self, positives: &dyn PositiveSet) -> bool;
 
     /// Short name for reports ("S1", "S2", "S3(3)").
     fn name(&self) -> String;
@@ -75,9 +107,9 @@ impl S1NewBitmap {
     }
 }
 
-fn bitmap_fingerprint(pred: &PredictedCoverage) -> u64 {
+fn bitmap_fingerprint(positives: &dyn PositiveSet) -> u64 {
     let mut blocks: Vec<(u8, u32)> =
-        pred.positive_blocks().iter().map(|(t, b)| (t.0, b.0)).collect();
+        positives.positive_blocks().iter().map(|(t, b)| (t.0, b.0)).collect();
     blocks.sort_unstable();
     // FNV-1a over the sorted positive set.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -89,8 +121,8 @@ fn bitmap_fingerprint(pred: &PredictedCoverage) -> u64 {
 }
 
 impl SelectionStrategy for S1NewBitmap {
-    fn select(&mut self, pred: &PredictedCoverage) -> bool {
-        self.seen.insert(bitmap_fingerprint(pred))
+    fn select(&mut self, positives: &dyn PositiveSet) -> bool {
+        self.seen.insert(bitmap_fingerprint(positives))
     }
 
     fn name(&self) -> String {
@@ -128,8 +160,8 @@ impl S2NewBlocks {
 }
 
 impl SelectionStrategy for S2NewBlocks {
-    fn select(&mut self, pred: &PredictedCoverage) -> bool {
-        let fresh: Vec<BlockId> = pred
+    fn select(&mut self, positives: &dyn PositiveSet) -> bool {
+        let fresh: Vec<BlockId> = positives
             .positive_blocks()
             .iter()
             .map(|&(_, b)| b)
@@ -178,8 +210,8 @@ impl S3LimitedTrials {
 }
 
 impl SelectionStrategy for S3LimitedTrials {
-    fn select(&mut self, pred: &PredictedCoverage) -> bool {
-        let blocks: Vec<BlockId> = pred.positive_blocks().iter().map(|&(_, b)| b).collect();
+    fn select(&mut self, positives: &dyn PositiveSet) -> bool {
+        let blocks: Vec<BlockId> = positives.positive_blocks().iter().map(|&(_, b)| b).collect();
         let interesting =
             blocks.iter().any(|b| self.trials.get(b).copied().unwrap_or(0) < self.limit);
         if interesting {
@@ -224,8 +256,7 @@ pub fn standard_strategies() -> Vec<Box<dyn SelectionStrategy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snowcat_graph::{CtGraph, VertKind, Vertex};
-    use snowcat_kernel::ThreadId;
+    use snowcat_graph::{CtGraph, VertKind};
 
     fn pred_with_blocks(blocks: &[(u8, u32)], positive: &[bool]) -> PredictedCoverage {
         let verts = blocks
@@ -291,6 +322,21 @@ mod tests {
         assert!(!s.select(&p), "third trial exceeds the limit");
         // A fresh block resets interest.
         assert!(s.select(&pred_with_blocks(&[(0, 5), (0, 6)], &[true, true])));
+    }
+
+    #[test]
+    fn bitset_view_decides_like_the_prediction() {
+        let p = pred_with_blocks(&[(0, 1), (1, 1), (0, 2), (1, 7)], &[true, true, false, true]);
+        let bits = p.positive_bits();
+        let view = PositiveVerts { verts: &p.graph.verts, bits: &bits };
+        assert_eq!(view.positive_blocks(), p.positive_blocks());
+        for mut s in standard_strategies() {
+            let mut t = standard_strategies().into_iter().find(|t| t.name() == s.name()).unwrap();
+            for _ in 0..4 {
+                assert_eq!(s.select(&view), t.select(&p), "{}", s.name());
+            }
+            assert_eq!(s.snapshot(), t.snapshot());
+        }
     }
 
     #[test]

@@ -197,14 +197,9 @@ impl<'k> CtGraphBuilder<'k> {
         g
     }
 
-    /// Clone `base` and add the scheduling-hint edges for `hints`.
-    ///
-    /// For hint "thread T yields after executing n instructions", the source
-    /// is the block T was executing at that point in its *sequential*
-    /// profile; the first switch targets the other thread's resume block
-    /// (its entry block), and the second switch draws its edge back to the
-    /// block containing the first switch point, matching the paper's
-    /// description.
+    /// Clone `base` and add the scheduling-hint edges for `hints`: `base`
+    /// plus [`schedule_overlay`](Self::schedule_overlay), so two hints with
+    /// equal overlays give equal graphs.
     pub fn with_schedule(
         &self,
         base: &CtGraph,
@@ -212,36 +207,48 @@ impl<'k> CtGraphBuilder<'k> {
         seq_b: &ExecResult,
         hints: &ScheduleHints,
     ) -> CtGraph {
-        let mut g = base.clone();
-        let mut index: HashMap<(u8, BlockId), u32> = HashMap::new();
-        for (i, v) in g.verts.iter().enumerate() {
-            index.insert((v.thread.0, v.block), i as u32);
-        }
+        self.schedule_overlay(base, seq_a, seq_b, hints).apply(base)
+    }
+
+    /// The schedule edges `hints` add to `base`, without building the graph.
+    ///
+    /// For hint "thread T yields after executing n instructions", the source
+    /// is the block T was executing at that point in its *sequential*
+    /// profile; the first switch targets the other thread's resume block
+    /// (its entry block), and the second switch draws its edge back to the
+    /// block containing the first switch point, matching the paper's
+    /// description. A switch whose blocks have no vertex adds no edge.
+    pub fn schedule_overlay(
+        &self,
+        base: &CtGraph,
+        seq_a: &ExecResult,
+        seq_b: &ExecResult,
+        hints: &ScheduleHints,
+    ) -> ScheduleOverlay {
+        // (thread, block) vertices are unique, and a CT graph has tens of
+        // them: a scan beats building an index per candidate.
+        let vertex = |t: u8, b: BlockId| {
+            base.verts.iter().position(|v| v.thread.0 == t && v.block == b).map(|i| i as u32)
+        };
         let seqs = [seq_a, seq_b];
         let mut progress = [0u64, 0u64];
         let mut prev_src: Option<u32> = None;
+        let mut edges = Vec::with_capacity(hints.switches.len());
         for (si, sw) in hints.switches.iter().enumerate() {
             let t = sw.thread.0;
             let other = 1 - t;
             let src_block = block_at(seqs[t as usize], sw.after);
             let dst_block = block_at(seqs[other as usize], progress[other as usize]);
             progress[t as usize] = sw.after;
-            if let (Some(&src), Some(&dst)) = (
-                src_block.and_then(|b| index.get(&(t, b))),
-                dst_block.and_then(|b| index.get(&(other, b))),
-            ) {
+            if let (Some(src), Some(dst)) =
+                (src_block.and_then(|b| vertex(t, b)), dst_block.and_then(|b| vertex(other, b)))
+            {
                 let to = if si == 1 { prev_src.unwrap_or(dst) } else { dst };
-                g.edges.push(Edge { from: src, to, kind: EdgeKind::Schedule });
-                // Mark the endpoint vertices (node-type enhancement, §6).
-                g.verts[src as usize].sched_mark = SchedMark::YieldSource;
-                if g.verts[to as usize].sched_mark == SchedMark::None {
-                    g.verts[to as usize].sched_mark = SchedMark::ResumeTarget;
-                }
+                edges.push((src, to));
                 prev_src = Some(src);
             }
         }
-        debug_assert!(g.validate().is_ok());
-        g
+        ScheduleOverlay { edges }
     }
 
     /// Label a graph's vertices with the observed concurrent coverage:
@@ -291,6 +298,39 @@ impl<'k> CtGraphBuilder<'k> {
                 realized.contains(&(u.block, u.thread.0, v.block, v.thread.0))
             })
             .collect()
+    }
+}
+
+/// The schedule edges one candidate adds to its CTI's base graph: a
+/// (source vertex → target vertex) pair per switch point whose blocks have
+/// vertices, in switch order (at most two for the paper's two-hint
+/// schedules). Hints pick instruction counts while these edges land on basic
+/// blocks, so many hints of one CTI share an overlay; a candidate's graph is
+/// a function of its overlay alone ([`ScheduleOverlay::apply`]).
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct ScheduleOverlay {
+    edges: Vec<(u32, u32)>,
+}
+
+impl ScheduleOverlay {
+    /// The (source, target) vertex pairs, in switch order.
+    pub fn edges(&self) -> &[(u32, u32)] {
+        &self.edges
+    }
+
+    /// `base` with the overlay's schedule edges added and their endpoint
+    /// vertices marked (node-type enhancement, §6).
+    pub fn apply(&self, base: &CtGraph) -> CtGraph {
+        let mut g = base.clone();
+        for &(from, to) in &self.edges {
+            g.edges.push(Edge { from, to, kind: EdgeKind::Schedule });
+            g.verts[from as usize].sched_mark = SchedMark::YieldSource;
+            if g.verts[to as usize].sched_mark == SchedMark::None {
+                g.verts[to as usize].sched_mark = SchedMark::ResumeTarget;
+            }
+        }
+        debug_assert!(g.validate().is_ok());
+        g
     }
 }
 

@@ -29,7 +29,7 @@ pub mod build;
 pub mod csr;
 pub mod repr;
 
-pub use build::CtGraphBuilder;
+pub use build::{CtGraphBuilder, ScheduleOverlay};
 pub use csr::{CsrAdj, KindAdj};
 pub use repr::{
     CtGraph, Edge, EdgeKind, GraphStats, SchedMark, StaticFeats, VertKind, Vertex, MASK_TOKEN,

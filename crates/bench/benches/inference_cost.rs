@@ -1,17 +1,21 @@
 //! Microbenchmark: PIC inference cost (§5.2.2) — graph assembly plus one
 //! forward pass, and the forward pass alone. Also reports graphs/sec for the
 //! pre-optimization (naive kernels, per-call allocation) forward against the
-//! tiled session-based forward.
+//! tiled session-based forward, and, over the distinct schedule overlays of
+//! one CTI, times the session forward of each applied graph against the
+//! delta forward off one base pass and prints the share of hidden-state rows
+//! the delta recomputes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_cfg::KernelCfg;
 use snowcat_corpus::StiFuzzer;
-use snowcat_graph::CtGraphBuilder;
+use snowcat_graph::{CtGraph, CtGraphBuilder, ScheduleOverlay};
 use snowcat_kernel::{generate, GenConfig};
 use snowcat_nn::{PicConfig, PicModel, PicSession};
 use snowcat_vm::propose_hints;
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn bench_inference(c: &mut Criterion) {
@@ -44,6 +48,46 @@ fn bench_inference(c: &mut Criterion) {
             probs.len()
         })
     });
+
+    // The distinct overlays among one CTI's 1,600 proposals (MLPCT's
+    // inference cap), scored both ways.
+    let mut overlay_rng = ChaCha8Rng::seed_from_u64(5);
+    let mut seen = HashSet::new();
+    let overlays: Vec<ScheduleOverlay> = (0..1600)
+        .filter_map(|_| {
+            let hints = propose_hints(&mut overlay_rng, a.seq.steps, b.seq.steps);
+            let overlay = builder.schedule_overlay(&base, &a.seq, &b.seq, &hints);
+            seen.insert(overlay.edges().to_vec()).then_some(overlay)
+        })
+        .collect();
+    let applied: Vec<CtGraph> = overlays.iter().map(|o| o.apply(&base)).collect();
+    c.bench_function("pic_forward_session_cti", |bch| {
+        bch.iter(|| {
+            for g in &applied {
+                model.forward_into(g, &mut session, &mut probs);
+            }
+        })
+    });
+    let mut delta_session = PicSession::new();
+    let mut delta_cti = || {
+        model.forward_base(&base, &mut delta_session);
+        let mut rows = 0;
+        for o in &overlays {
+            model.forward_overlay(&base, o, &mut delta_session);
+            rows += delta_session.recomputed_rows();
+        }
+        rows
+    };
+    c.bench_function("pic_forward_delta", |bch| bch.iter(&mut delta_cti));
+    let rows = delta_cti();
+    let full_rows = overlays.len() * (model.cfg.layers + 1) * base.num_verts();
+    println!(
+        "{} distinct overlays of a {}-vertex CTI: the delta recomputes {rows} of {full_rows} \
+         hidden-state rows ({:.0}%)",
+        overlays.len(),
+        base.num_verts(),
+        100.0 * rows as f64 / full_rows as f64
+    );
 
     c.bench_function("pic_inference_with_graph_assembly", |bch| {
         bch.iter(|| {

@@ -51,7 +51,7 @@ pub use error::{
     load_checkpoint, load_dataset, save_checkpoint, save_checkpoint_json, save_dataset,
     SnowcatError, MIN_MODEL_VERSION, MODEL_MAGIC, MODEL_VERSION,
 };
-pub use mlpct::{explore_mlpct, explore_pct, explore_pct_native, ExploreConfig, ExploreOutcome};
+pub use mlpct::{explore_mlpct, explore_pct, ExploreConfig, ExploreOutcome};
 pub use pic::{checkpoint_fingerprint, Pic, PredictedCoverage};
 pub use pipeline::{
     as_flow_labeled, as_labeled, collect_data, fine_tune, pretrain_encoder, train_on,
@@ -59,8 +59,8 @@ pub use pipeline::{
 };
 pub use predcache::CachedPredictor;
 pub use predictor::{
-    graph_fingerprint, BaselineService, CoveragePredictor, FlowPredictor, ParallelPredictor,
-    PredictorService, PredictorStats,
+    graph_fingerprint, BaselineService, CoveragePredictor, FlowPredictor, OverlayScorer,
+    ParallelPredictor, PredictorService, PredictorStats,
 };
 pub use prefilter::RacePrefilter;
 pub use razzer::{

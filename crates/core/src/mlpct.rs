@@ -162,54 +162,6 @@ pub fn explore_pct(
     outcome
 }
 
-/// Explore a CTI with the *native* PCT scheduler (random priorities +
-/// priority-change points at instruction granularity), instead of 2-switch
-/// hint schedules. This is how the original SKI drives exploration when no
-/// hint encoding is needed; it is exposed for fidelity studies — the
-/// campaign experiments use the hint-based family so that PCT and MLPCT
-/// draw candidates from the same distribution.
-pub fn explore_pct_native(
-    kernel: &Kernel,
-    a: &StiProfile,
-    b: &StiProfile,
-    cfg: &ExploreConfig,
-    depth: usize,
-) -> ExploreOutcome {
-    use snowcat_vm::{PctScheduler, Vm};
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let detector = RaceDetector::default();
-    let seq_cov = seq_union(kernel, a, b);
-    let expected_len = a.seq.steps + b.seq.steps;
-    let mut outcome = ExploreOutcome {
-        executions: 0,
-        inferences: 0,
-        races: Vec::new(),
-        bugs: Vec::new(),
-        sched_dep_blocks: BitSet::new(kernel.num_blocks()),
-        hangs: 0,
-        crashes: 0,
-    };
-    let mut seen_races = HashSet::new();
-    for _ in 0..cfg.exec_budget {
-        let mut sched = PctScheduler::new(&mut rng, 2, expected_len, depth);
-        let vm = Vm::new(kernel, vec![a.sti.clone(), b.sti.clone()], cfg.vm_config());
-        let r = vm.run(&mut sched);
-        outcome.executions += 1;
-        outcome.hangs += u64::from(r.hung());
-        outcome.crashes += u64::from(r.crashed());
-        for report in detector.detect(kernel, &r) {
-            if seen_races.insert(report.key) {
-                outcome.races.push(report);
-            }
-        }
-        outcome.bugs.extend(r.unique_bugs());
-        outcome.sched_dep_blocks.union_with(&r.coverage.difference(&seq_cov));
-    }
-    outcome.bugs.sort_unstable();
-    outcome.bugs.dedup();
-    outcome
-}
-
 /// Explore a CTI with MLPCT: same proposal stream, but only candidates the
 /// strategy selects (based on the predicted coverage) are executed.
 ///
@@ -218,14 +170,15 @@ pub fn explore_pct_native(
 ///
 /// Hints pick instruction counts while schedule edges land on basic blocks,
 /// so most proposals of a CTI repeat a schedule overlay already scored (85%
-/// on the benchmark campaign). Each distinct overlay goes through the chain
-/// once per CTI; a repeat reuses its thresholded positives (a bitset over
-/// the base graph's vertex order) and is counted as
-/// [`reused`](crate::PredictorStats::reused). Every candidate still reaches
-/// the strategy, in proposal order, since S3 charges a trial per selection.
-/// The reuse is dropped whenever the chain's fingerprint changes (a served
-/// model hot-swapped mid-campaign), so the outcome is the one the chain
-/// would give if it scored every candidate.
+/// on the benchmark campaign). Each distinct overlay is scored once per CTI
+/// by the chain's [`overlay_scorer`](crate::CoveragePredictor::overlay_scorer)
+/// (a delta forward on a direct [`crate::Pic`]); a repeat reuses its
+/// thresholded positives (a bitset over the base graph's vertex order) and
+/// is counted as [`reused`](crate::PredictorStats::reused). Every candidate
+/// still reaches the strategy, in proposal order, since S3 charges a trial
+/// per selection. The reuse and the scorer are dropped whenever the chain's
+/// fingerprint changes (a served model hot-swapped mid-campaign), so the
+/// outcome is the one the chain would give if it scored every candidate.
 pub fn explore_mlpct(
     kernel: &Kernel,
     service: &PredictorService<'_, '_>,
@@ -252,6 +205,7 @@ pub fn explore_mlpct(
     let mut seen_hints = HashSet::new();
     let mut scored: HashMap<ScheduleOverlay, BitSet> = HashMap::new();
     let mut scored_by = service.predictor().fingerprint();
+    let mut scorer = service.predictor().overlay_scorer(&base);
     while (outcome.executions as usize) < cfg.exec_budget
         && (outcome.inferences as usize) < cfg.inference_cap
     {
@@ -267,6 +221,7 @@ pub fn explore_mlpct(
         if fingerprint != scored_by {
             scored.clear();
             scored_by = fingerprint;
+            scorer = service.predictor().overlay_scorer(&base);
         }
         let bits = match scored.entry(overlay) {
             Entry::Occupied(hit) => {
@@ -274,8 +229,8 @@ pub fn explore_mlpct(
                 hit.into_mut()
             }
             Entry::Vacant(miss) => {
-                let pred = service.predictor().predict_one(&miss.key().apply(&base));
-                miss.insert(pred.positive_bits())
+                let bits = scorer.score(miss.key());
+                miss.insert(bits)
             }
         };
         outcome.inferences += 1;
@@ -343,18 +298,6 @@ mod tests {
         assert!(out.executions <= 8);
         assert!(out.inferences <= 60);
         assert!(out.inferences >= out.executions, "every execution was predicted first");
-    }
-
-    #[test]
-    fn native_pct_exploration_finds_coverage() {
-        let (k, _, corpus) = setup();
-        let cfg = ExploreConfig { exec_budget: 8, ..Default::default() };
-        let out = explore_pct_native(&k, &corpus[0], &corpus[1], &cfg, 3);
-        assert_eq!(out.executions, 8);
-        assert_eq!(out.inferences, 0);
-        // Deterministic given seed.
-        let out2 = explore_pct_native(&k, &corpus[0], &corpus[1], &cfg, 3);
-        assert_eq!(out.race_keys(), out2.race_keys());
     }
 
     #[test]

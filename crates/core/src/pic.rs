@@ -6,10 +6,11 @@
 //! which [`Pic`] implements; this module keeps the graph-construction side
 //! (base graphs, schedule overlays) and the prediction result type.
 
-use crate::predictor::{fnv1a, CoveragePredictor, FlowPredictor, PredictorStats};
+use crate::predictor::{fnv1a, CoveragePredictor, FlowPredictor, OverlayScorer, PredictorStats};
+use parking_lot::Mutex;
 use snowcat_cfg::KernelCfg;
 use snowcat_corpus::StiProfile;
-use snowcat_graph::{CtGraph, CtGraphBuilder};
+use snowcat_graph::{CtGraph, CtGraphBuilder, ScheduleOverlay};
 use snowcat_kernel::{BlockId, Kernel, ThreadId};
 use snowcat_nn::{Checkpoint, PicModel, PicSession};
 use snowcat_vm::{BitSet, ScheduleHints};
@@ -80,6 +81,10 @@ pub struct Pic<'k> {
     /// overlay's prediction instead of calling the chain; merged into the
     /// chain's counters by [`crate::PredictorService::stats`].
     reused: AtomicU64,
+    /// Inference sessions not lent out. `predict_batch` and the overlay
+    /// scorer borrow one each and return it, so warmed-up scratch buffers
+    /// outlive the call (one session per concurrent caller).
+    sessions: Mutex<Vec<PicSession>>,
     fingerprint: u64,
     name: String,
 }
@@ -94,6 +99,7 @@ impl<'k> Pic<'k> {
             inferences: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             reused: AtomicU64::new(0),
+            sessions: Mutex::new(Vec::new()),
             fingerprint: checkpoint_fingerprint(checkpoint),
             name: checkpoint.name.clone(),
         }
@@ -161,17 +167,72 @@ impl<'k> Pic<'k> {
     pub(crate) fn reused(&self) -> u64 {
         self.reused.load(Ordering::Relaxed)
     }
+
+    /// Scratch-buffer allocations of the pooled inference sessions (see
+    /// [`PicSession::allocations`]); stops advancing once they are warm.
+    pub fn session_allocations(&self) -> usize {
+        self.sessions.lock().iter().map(PicSession::allocations).sum()
+    }
+
+    fn take_session(&self) -> PicSession {
+        self.sessions.lock().pop().unwrap_or_default()
+    }
+
+    fn put_session(&self, session: PicSession) {
+        self.sessions.lock().push(session);
+    }
+
+    /// Count `graphs` forwards made in one call.
+    fn count_forwards(&self, graphs: u64) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.inferences.fetch_add(graphs, Ordering::Relaxed);
+    }
+}
+
+/// [`Pic`]'s overlay scorer: a full forward of the base graph on the first
+/// overlay (not counted), then one delta forward per overlay
+/// ([`PicModel::forward_overlay`]), counted like the `predict_one` it
+/// replaces. It holds a pooled session until dropped.
+struct DeltaScorer<'s, 'k> {
+    pic: &'s Pic<'k>,
+    base: &'s CtGraph,
+    session: PicSession,
+    primed: bool,
+}
+
+impl OverlayScorer for DeltaScorer<'_, '_> {
+    fn score(&mut self, overlay: &ScheduleOverlay) -> BitSet {
+        let Pic { model, threshold, .. } = self.pic;
+        self.pic.count_forwards(1);
+        if !self.primed {
+            model.forward_base(self.base, &mut self.session);
+            self.primed = true;
+        }
+        let probs = model.forward_overlay(self.base, overlay, &mut self.session);
+        let mut bits = BitSet::new(probs.len());
+        for (i, &p) in probs.iter().enumerate() {
+            if p >= *threshold {
+                bits.insert(i);
+            }
+        }
+        bits
+    }
+}
+
+impl Drop for DeltaScorer<'_, '_> {
+    fn drop(&mut self) {
+        self.pic.put_session(std::mem::take(&mut self.session));
+    }
 }
 
 impl CoveragePredictor for Pic<'_> {
     fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.inferences.fetch_add(graphs.len() as u64, Ordering::Relaxed);
-        // One session per batch: every graph after the first reuses the same
-        // scratch buffers and CSR arrays, so steady-state inference does not
-        // touch the allocator.
-        let mut session = PicSession::new();
-        graphs
+        self.count_forwards(graphs.len() as u64);
+        // A pooled session: its scratch buffers and CSR arrays are warm from
+        // earlier calls, so steady-state inference does not touch the
+        // allocator for intermediates.
+        let mut session = self.take_session();
+        let out = graphs
             .iter()
             .map(|graph| {
                 let mut probs = Vec::new();
@@ -179,7 +240,13 @@ impl CoveragePredictor for Pic<'_> {
                 let positive = probs.iter().map(|&p| p >= self.threshold).collect();
                 PredictedCoverage { graph: graph.clone(), probs, positive }
             })
-            .collect()
+            .collect();
+        self.put_session(session);
+        out
+    }
+
+    fn overlay_scorer<'s>(&'s self, base: &'s CtGraph) -> Box<dyn OverlayScorer + 's> {
+        Box::new(DeltaScorer { pic: self, base, session: self.take_session(), primed: false })
     }
 
     fn stats(&self) -> PredictorStats {
@@ -201,8 +268,7 @@ impl CoveragePredictor for Pic<'_> {
 
 impl FlowPredictor for Pic<'_> {
     fn predict_with_flows(&self, graph: &CtGraph) -> (PredictedCoverage, Vec<f32>) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.inferences.fetch_add(1, Ordering::Relaxed);
+        self.count_forwards(1);
         let (probs, cache) = self.model.forward_cached(graph);
         let flows = self.model.forward_flows(graph, &cache);
         let positive = probs.iter().map(|&p| p >= self.threshold).collect();

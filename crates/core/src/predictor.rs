@@ -27,9 +27,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use snowcat_corpus::StiProfile;
-use snowcat_graph::CtGraph;
+use snowcat_graph::{CtGraph, ScheduleOverlay};
 use snowcat_nn::BaselinePredictor;
-use snowcat_vm::ScheduleHints;
+use snowcat_vm::{BitSet, ScheduleHints};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// FNV-1a over a byte slice, continuing from `h` (so hashes can be chained).
@@ -271,6 +271,34 @@ pub trait CoveragePredictor: Sync {
             .pop()
             .expect("predict_batch returns one prediction per input graph")
     }
+
+    /// A scorer for the schedule overlays of one CTI whose base graph is
+    /// `base`. The default applies each overlay and calls
+    /// [`predict_one`](Self::predict_one); [`Pic`] overrides it with the
+    /// delta forward, which gives the same bits and the same counters.
+    fn overlay_scorer<'s>(&'s self, base: &'s CtGraph) -> Box<dyn OverlayScorer + 's> {
+        Box::new(ApplyScorer { predictor: self, base })
+    }
+}
+
+/// Scores the schedule overlays of one CTI (see
+/// [`CoveragePredictor::overlay_scorer`]).
+pub trait OverlayScorer {
+    /// The predicted-positive vertices of `overlay.apply(base)`, as a bitset
+    /// over the base graph's vertex order.
+    fn score(&mut self, overlay: &ScheduleOverlay) -> BitSet;
+}
+
+/// The default overlay scorer: build the candidate graph and predict it.
+struct ApplyScorer<'s, P: ?Sized> {
+    predictor: &'s P,
+    base: &'s CtGraph,
+}
+
+impl<P: CoveragePredictor + ?Sized> OverlayScorer for ApplyScorer<'_, P> {
+    fn score(&mut self, overlay: &ScheduleOverlay) -> BitSet {
+        self.predictor.predict_one(&overlay.apply(self.base)).positive_bits()
+    }
 }
 
 impl<P: CoveragePredictor + ?Sized> CoveragePredictor for &P {
@@ -292,6 +320,10 @@ impl<P: CoveragePredictor + ?Sized> CoveragePredictor for &P {
 
     fn predict_one(&self, graph: &CtGraph) -> PredictedCoverage {
         (**self).predict_one(graph)
+    }
+
+    fn overlay_scorer<'s>(&'s self, base: &'s CtGraph) -> Box<dyn OverlayScorer + 's> {
+        (**self).overlay_scorer(base)
     }
 }
 

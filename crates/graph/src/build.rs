@@ -313,9 +313,31 @@ pub struct ScheduleOverlay {
 }
 
 impl ScheduleOverlay {
+    /// An overlay of the given (source, target) vertex pairs, in switch
+    /// order.
+    pub fn new(edges: Vec<(u32, u32)>) -> Self {
+        Self { edges }
+    }
+
     /// The (source, target) vertex pairs, in switch order.
     pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
+    }
+
+    /// The schedule mark vertex `v` carries once the overlay is applied to a
+    /// graph where it carries `base`: edges are applied in switch order, a
+    /// source becomes a yield source, and a target that carries no mark yet
+    /// becomes a resume target (so a yield source stays one).
+    pub fn mark(&self, v: u32, base: SchedMark) -> SchedMark {
+        self.edges.iter().fold(base, |mark, &(from, to)| {
+            if from == v {
+                SchedMark::YieldSource
+            } else if to == v && mark == SchedMark::None {
+                SchedMark::ResumeTarget
+            } else {
+                mark
+            }
+        })
     }
 
     /// `base` with the overlay's schedule edges added and their endpoint
@@ -324,9 +346,8 @@ impl ScheduleOverlay {
         let mut g = base.clone();
         for &(from, to) in &self.edges {
             g.edges.push(Edge { from, to, kind: EdgeKind::Schedule });
-            g.verts[from as usize].sched_mark = SchedMark::YieldSource;
-            if g.verts[to as usize].sched_mark == SchedMark::None {
-                g.verts[to as usize].sched_mark = SchedMark::ResumeTarget;
+            for v in [from, to] {
+                g.verts[v as usize].sched_mark = self.mark(v, base.verts[v as usize].sched_mark);
             }
         }
         debug_assert!(g.validate().is_ok());

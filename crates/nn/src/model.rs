@@ -43,12 +43,32 @@
 //! Inference goes through a [`PicSession`], which owns a [`Scratch`] arena
 //! and a reusable adjacency: after warmup, [`PicModel::forward_into`]
 //! performs **zero heap allocations** per graph.
+//!
+//! # Delta forward over schedule overlays
+//!
+//! A candidate graph is its CTI's base graph plus a [`ScheduleOverlay`]: at
+//! most two Schedule edges and the marks on their endpoints. Every output
+//! element above is a fold over its own row's inputs only, so a row whose
+//! inputs the overlay cannot reach is bit-identical to the base graph's.
+//! [`PicModel::forward_base`] keeps the base graph's hidden state of every
+//! layer in the session; [`PicModel::forward_overlay`] then recomputes only
+//! the *frontier*: the endpoints whose mark changes at the input layer, and
+//! at each message-passing layer the previous frontier plus its
+//! out-neighbours (base CSR) plus the overlay edges' targets, whose
+//! Schedule in-edges changed. Frontier rows are recomputed with exactly the
+//! per-vertex reduction order above (Schedule sources: base edges first,
+//! then the overlay edges in switch order, as in the CSR of the applied
+//! graph); every other row is read from the base pass, and the head runs
+//! on the last frontier only.
 
-use crate::tensor::{bce_grad, bce_with_logit, sigmoid, Mat, Scratch};
+use crate::tensor::{accum_row, bce_grad, bce_with_logit, relu_slice, sigmoid, Mat, Scratch};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use snowcat_graph::{CsrAdj, CtGraph, VertKind, NUM_SCHED_MARKS, VOCAB_SIZE};
+use snowcat_graph::{
+    CsrAdj, CtGraph, EdgeKind, SchedMark, ScheduleOverlay, VertKind, Vertex, NUM_SCHED_MARKS,
+    VOCAB_SIZE,
+};
 
 /// Number of edge types (the paper's five plus shortcut edges).
 pub const NUM_EDGE_TYPES: usize = snowcat_graph::NUM_EDGE_KINDS;
@@ -358,6 +378,18 @@ fn head_logit(h_row: &[f32], w_out: &Mat, b_out: &Mat) -> f32 {
     acc
 }
 
+/// Slot of a vertex outside the frontier.
+const OFF_FRONTIER: u32 = u32::MAX;
+
+/// Put `v` on the frontier (no-op when it is already there).
+#[inline]
+fn admit(front: &mut Vec<u32>, slot: &mut [u32], v: u32) {
+    if slot[v as usize] == OFF_FRONTIER {
+        slot[v as usize] = front.len() as u32;
+        front.push(v);
+    }
+}
+
 /// Cached activations from one forward pass (needed for backward).
 pub struct ForwardCache {
     /// CSR adjacency of the graph (built once; backward reuses it).
@@ -375,16 +407,33 @@ pub struct ForwardCache {
 }
 
 /// Reusable per-session state for allocation-free inference: a [`Scratch`]
-/// arena for intermediate matrices and a rebuildable [`CsrAdj`].
+/// arena for intermediate matrices, a rebuildable [`CsrAdj`], the hidden
+/// state of the last full forward and the delta forward's frontier.
 ///
-/// Create one per inference session (e.g. per predictor batch) and pass it
-/// to [`PicModel::forward_into`] for every graph; after the first
-/// warmup graph of each size class, forward passes perform no heap
-/// allocation ([`PicSession::allocations`] stops advancing).
+/// Hold one per inference thread and pass it to [`PicModel::forward_into`]
+/// (or [`PicModel::forward_base`] and [`PicModel::forward_overlay`]) for
+/// every graph; after the first warmup graph of each size class, forward
+/// passes perform no heap allocation ([`PicSession::allocations`] stops
+/// advancing).
 #[derive(Debug, Default)]
 pub struct PicSession {
     scratch: Scratch,
     adj: CsrAdj,
+    /// Hidden state of the last full forward: every layer's, input layer
+    /// first (`L + 1` matrices of `n × d`), after
+    /// [`PicModel::forward_base`]; only the final one after
+    /// [`PicModel::forward_into`].
+    layer_h: Vec<Mat>,
+    /// Probabilities of the last [`PicModel::forward_base`] (cleared by
+    /// [`PicModel::forward_into`]).
+    base_probs: Vec<f32>,
+    /// The delta forward's frontier, in admission order, and each vertex's
+    /// index into it ([`OFF_FRONTIER`] when absent).
+    front: Vec<u32>,
+    slot: Vec<u32>,
+    /// Probabilities of the last [`PicModel::forward_overlay`].
+    overlay_probs: Vec<f32>,
+    recomputed_rows: usize,
 }
 
 impl PicSession {
@@ -397,6 +446,13 @@ impl PicSession {
     /// [`Scratch::allocations`]) — stable once the session is warmed up.
     pub fn allocations(&self) -> usize {
         self.scratch.allocations()
+    }
+
+    /// Hidden-state rows the last [`PicModel::forward_overlay`] recomputed,
+    /// summed over the input layer and every message-passing layer. A full
+    /// forward computes `(layers + 1) × n`.
+    pub fn recomputed_rows(&self) -> usize {
+        self.recomputed_rows
     }
 }
 
@@ -416,40 +472,45 @@ impl PicModel {
         Self { cfg, params }
     }
 
-    /// Write input features into `x` (n×d, assumed zeroed): vertex-type and
-    /// schedule-mark embeddings plus the mean token embedding, all explicit
-    /// row gathers — no temporaries, no dense one-hot matmuls.
+    /// Write vertex `v`'s input features into `row`, as if it carried
+    /// schedule mark `mark`: vertex-type and schedule-mark embeddings plus
+    /// the mean token embedding, all explicit row gathers — no temporaries,
+    /// no dense one-hot matmuls.
+    fn input_row(&self, v: &Vertex, mark: SchedMark, row: &mut [f32]) {
+        let trow = self.params.type_emb.row(match v.kind {
+            VertKind::Scb => 0,
+            VertKind::Urb => 1,
+        });
+        let srow = self.params.sched_emb.row(mark.index());
+        for ((o, &t), &m) in row.iter_mut().zip(trow).zip(srow) {
+            *o = t + m;
+        }
+        if !v.tokens.is_empty() {
+            let inv = 1.0 / v.tokens.len() as f32;
+            for &tok in &v.tokens {
+                let e = self.params.tok_emb.row(tok as usize);
+                for (o, &t) in row.iter_mut().zip(e) {
+                    *o += t * inv;
+                }
+            }
+        }
+        if self.cfg.static_channels > 0 {
+            let feats = v.static_feats.unit();
+            for (c, &f) in feats.iter().take(self.cfg.static_channels).enumerate() {
+                if f != 0.0 {
+                    let srow = self.params.w_static.row(c);
+                    for (o, &s) in row.iter_mut().zip(srow) {
+                        *o += f * s;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Write every vertex's input features into `x` (n×d).
     fn input_features_into(&self, graph: &CtGraph, x: &mut Mat) {
         for (i, v) in graph.verts.iter().enumerate() {
-            let trow = self.params.type_emb.row(match v.kind {
-                VertKind::Scb => 0,
-                VertKind::Urb => 1,
-            });
-            let srow = self.params.sched_emb.row(v.sched_mark.index());
-            let row = x.row_mut(i);
-            for ((o, &t), &m) in row.iter_mut().zip(trow).zip(srow) {
-                *o = t + m;
-            }
-            if !v.tokens.is_empty() {
-                let inv = 1.0 / v.tokens.len() as f32;
-                for &tok in &v.tokens {
-                    let e = self.params.tok_emb.row(tok as usize);
-                    for (o, &t) in row.iter_mut().zip(e) {
-                        *o += t * inv;
-                    }
-                }
-            }
-            if self.cfg.static_channels > 0 {
-                let feats = v.static_feats.unit();
-                for (c, &f) in feats.iter().take(self.cfg.static_channels).enumerate() {
-                    if f != 0.0 {
-                        let srow = self.params.w_static.row(c);
-                        for (o, &s) in row.iter_mut().zip(srow) {
-                            *o += f * s;
-                        }
-                    }
-                }
-            }
+            self.input_row(v, v.sched_mark, x.row_mut(i));
         }
     }
 
@@ -509,25 +570,28 @@ impl PicModel {
         (probs, cache)
     }
 
-    /// Inference forward pass into a caller-owned probability buffer, using
-    /// the session's scratch arena and reusable adjacency. Bit-identical to
-    /// [`PicModel::forward_cached`]'s probabilities; performs zero heap
-    /// allocations once the session is warmed up.
-    pub fn forward_into(&self, graph: &CtGraph, session: &mut PicSession, probs: &mut Vec<f32>) {
+    /// The full trunk over `graph`: rebuilds the session's adjacency and
+    /// leaves the final hidden state in `session.layer_h`, preceded by every
+    /// earlier layer's when `keep_layers` (a base pass for overlays).
+    fn trunk_into(&self, graph: &CtGraph, session: &mut PicSession, keep_layers: bool) {
         let n = graph.num_verts();
         let d = self.cfg.hidden;
-        probs.clear();
-        let PicSession { scratch, adj } = session;
+        let PicSession { scratch, adj, layer_h, .. } = session;
         adj.rebuild(graph);
+        for h in layer_h.drain(..) {
+            scratch.put(h);
+        }
         let mut x = scratch.take(n, d);
         self.input_features_into(graph, &mut x);
         // Fused input transform: h0 = relu(b_in + x @ w_in).
-        let mut h = scratch.take(n, d);
-        x.matmul_bias_relu_into(&self.params.w_in, &self.params.b_in, &mut h);
+        let mut h0 = scratch.take(n, d);
+        x.matmul_bias_relu_into(&self.params.w_in, &self.params.b_in, &mut h0);
         scratch.put(x);
+        layer_h.push(h0);
 
-        let mut z = scratch.take(n, d);
         for layer in &self.params.layers {
+            let h = layer_h.last().expect("the input layer is pushed first");
+            let mut z = scratch.take(n, d);
             z.fill_row_broadcast(&layer.b);
             h.matmul_acc_into(&layer.w_self, &mut z);
             for (r, w_rel) in layer.w_rel.iter().enumerate() {
@@ -537,24 +601,175 @@ impl PicModel {
                     continue;
                 }
                 let mut m = scratch.take(t, d);
-                aggregate_compact_into(adj, r, &h, &mut m);
+                aggregate_compact_into(adj, r, h, &mut m);
                 let mut mw = scratch.take(t, d);
                 m.matmul_into(w_rel, &mut mw);
                 scatter_add_rows(ka, &mw, &mut z);
                 scratch.put(m);
                 scratch.put(mw);
             }
-            // h_out = relu(z) + h_in, then the old h buffer becomes next z.
+            // h_out = relu(z) + h_in.
             z.relu_inplace();
-            z.add_assign(&h);
-            std::mem::swap(&mut h, &mut z);
+            z.add_assign(h);
+            if !keep_layers {
+                scratch.put(layer_h.pop().expect("the layer input is on the stack"));
+            }
+            layer_h.push(z);
         }
-        scratch.put(z);
+    }
 
-        probs.extend(
-            (0..n).map(|i| sigmoid(head_logit(h.row(i), &self.params.w_out, &self.params.b_out))),
+    /// The head over the last trunk's final hidden state, appended to
+    /// `probs`.
+    fn head_into(&self, session: &PicSession, probs: &mut Vec<f32>) {
+        let h = session.layer_h.last().expect("the trunk ran");
+        let (w_out, b_out) = (&self.params.w_out, &self.params.b_out);
+        probs.extend((0..h.rows).map(|i| sigmoid(head_logit(h.row(i), w_out, b_out))));
+    }
+
+    /// Inference forward pass into a caller-owned probability buffer, using
+    /// the session's scratch arena and reusable adjacency. Bit-identical to
+    /// [`PicModel::forward_cached`]'s probabilities; performs zero heap
+    /// allocations once the session is warmed up.
+    pub fn forward_into(&self, graph: &CtGraph, session: &mut PicSession, probs: &mut Vec<f32>) {
+        self.trunk_into(graph, session, false);
+        session.base_probs.clear();
+        probs.clear();
+        self.head_into(session, probs);
+    }
+
+    /// Full forward of a CTI's base graph, kept in `session` as the base of
+    /// later [`PicModel::forward_overlay`] calls (until the session's next
+    /// full forward).
+    pub fn forward_base(&self, base: &CtGraph, session: &mut PicSession) {
+        self.trunk_into(base, session, true);
+        let mut probs = std::mem::take(&mut session.base_probs);
+        probs.clear();
+        self.head_into(session, &mut probs);
+        session.base_probs = probs;
+    }
+
+    /// Probabilities of `overlay.apply(base)`, bit-identical to
+    /// [`PicModel::forward_into`] on that graph but recomputing only the
+    /// rows the overlay can reach (see the module doc); every other row is
+    /// the base pass's. `session` must hold [`PicModel::forward_base`] of
+    /// this `base`. [`PicSession::recomputed_rows`] reports the work done.
+    pub fn forward_overlay<'s>(
+        &self,
+        base: &CtGraph,
+        overlay: &ScheduleOverlay,
+        session: &'s mut PicSession,
+    ) -> &'s [f32] {
+        let n = base.num_verts();
+        let d = self.cfg.hidden;
+        let PicSession { scratch, adj, layer_h, base_probs, front, slot, overlay_probs, .. } =
+            session;
+        assert!(
+            layer_h.len() == self.params.layers.len() + 1
+                && base_probs.len() == n
+                && adj.num_verts() == n,
+            "forward_overlay needs forward_base of the same graph first"
         );
-        session.scratch.put(h);
+        let edges = overlay.edges();
+        let sched = EdgeKind::Schedule.index();
+        front.clear();
+        slot.clear();
+        slot.resize(n, OFF_FRONTIER);
+
+        // Input layer: the endpoints whose schedule mark changes.
+        for &(from, to) in edges {
+            for v in [from, to] {
+                let mark = base.verts[v as usize].sched_mark;
+                if overlay.mark(v, mark) != mark {
+                    admit(front, slot, v);
+                }
+            }
+        }
+        let mut prev = scratch.take(front.len(), d);
+        let mut x = scratch.take(1, d);
+        for (j, &v) in front.iter().enumerate() {
+            let vert = &base.verts[v as usize];
+            self.input_row(vert, overlay.mark(v, vert.sched_mark), &mut x.data);
+            let h0 = prev.row_mut(j);
+            h0.copy_from_slice(&self.params.b_in.data);
+            accum_row(h0, &x.data, &self.params.w_in);
+            relu_slice(h0);
+        }
+        scratch.put(x);
+        let mut rows = front.len();
+
+        let mut m = scratch.take(1, d);
+        let mut mw = scratch.take(1, d);
+        for (layer, h_base) in self.params.layers.iter().zip(layer_h.iter()) {
+            let prev_len = front.len();
+            for j in 0..prev_len {
+                let u = front[j] as usize;
+                for r in 0..NUM_EDGE_TYPES {
+                    for &v in adj.kind(r).out_dests(u) {
+                        admit(front, slot, v);
+                    }
+                }
+            }
+            for &(_, to) in edges {
+                admit(front, slot, to);
+            }
+            // This layer's input row of `u`: the frontier's when `u` was
+            // recomputed below, the base pass's otherwise.
+            let h_in = |u: u32| match slot[u as usize] {
+                s if (s as usize) < prev_len => prev.row(s as usize),
+                _ => h_base.row(u as usize),
+            };
+            let mut next = scratch.take(front.len(), d);
+            for (j, &v) in front.iter().enumerate() {
+                let z = next.row_mut(j);
+                z.copy_from_slice(&layer.b.data);
+                accum_row(z, h_in(v), &layer.w_self);
+                for (r, w_rel) in layer.w_rel.iter().enumerate() {
+                    let added: &[(u32, u32)] = if r == sched { edges } else { &[] };
+                    let base_srcs = adj.kind(r).in_sources(v as usize).iter().copied();
+                    let added_srcs = added.iter().filter(|e| e.1 == v).map(|e| e.0);
+                    m.data.fill(0.0);
+                    let mut deg = 0usize;
+                    for u in base_srcs.chain(added_srcs) {
+                        for (o, s) in m.data.iter_mut().zip(h_in(u)) {
+                            *o += s;
+                        }
+                        deg += 1;
+                    }
+                    if deg == 0 {
+                        continue;
+                    }
+                    if deg > 1 {
+                        let deg = deg as f32;
+                        for o in &mut m.data {
+                            *o /= deg;
+                        }
+                    }
+                    mw.data.fill(0.0);
+                    accum_row(&mut mw.data, &m.data, w_rel);
+                    for (o, &x) in z.iter_mut().zip(&mw.data) {
+                        *o += x;
+                    }
+                }
+                relu_slice(z);
+                for (o, &h) in z.iter_mut().zip(h_in(v)) {
+                    *o += h;
+                }
+            }
+            rows += front.len();
+            scratch.put(std::mem::replace(&mut prev, next));
+        }
+        scratch.put(m);
+        scratch.put(mw);
+
+        overlay_probs.clear();
+        overlay_probs.extend_from_slice(base_probs);
+        let (w_out, b_out) = (&self.params.w_out, &self.params.b_out);
+        for (j, &v) in front.iter().enumerate() {
+            overlay_probs[v as usize] = sigmoid(head_logit(prev.row(j), w_out, b_out));
+        }
+        scratch.put(prev);
+        session.recomputed_rows = rows;
+        &session.overlay_probs
     }
 
     /// Forward pass returning only probabilities (one-shot inference; for

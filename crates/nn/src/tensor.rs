@@ -154,9 +154,11 @@ fn panel_acc<const W: usize>(out_panel: &mut [f32], a_row: &[f32], b: &Mat, jp: 
 }
 
 /// `out_row += a_row @ b` for one output row: wide register panels, then
-/// narrow ones, then a k-ascending axpy over the sub-[`PANEL`] tail.
+/// narrow ones, then a k-ascending axpy over the sub-[`PANEL`] tail. This is
+/// the whole per-row body of [`Mat::matmul_acc_into`], so a row computed
+/// alone is bit-identical to the same row of a full matmul.
 #[inline]
-fn accum_row(out_row: &mut [f32], a_row: &[f32], b: &Mat) {
+pub(crate) fn accum_row(out_row: &mut [f32], a_row: &[f32], b: &Mat) {
     let m = out_row.len();
     let mut jp = 0;
     while jp + PANEL_WIDE <= m {
@@ -173,6 +175,16 @@ fn accum_row(out_row: &mut [f32], a_row: &[f32], b: &Mat) {
             for (o, &x) in tail.iter_mut().zip(&b.row(k)[jp..]) {
                 *o += a * x;
             }
+        }
+    }
+}
+
+/// `max(x, 0)` element-wise in place (the body of [`Mat::relu_inplace`]).
+#[inline]
+pub(crate) fn relu_slice(xs: &mut [f32]) {
+    for v in xs {
+        if *v < 0.0 {
+            *v = 0.0;
         }
     }
 }
@@ -477,11 +489,7 @@ impl Mat {
 
     /// ReLU in place; returns the pre-activation copy for backward.
     pub fn relu_inplace(&mut self) {
-        for v in &mut self.data {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
+        relu_slice(&mut self.data);
     }
 
     /// Element-wise multiply by the ReLU mask of `pre` (1 where `pre` > 0).
@@ -517,10 +525,14 @@ impl Mat {
 /// Lifetime rules: [`Scratch::take`] hands out a zeroed `Mat` of the
 /// requested shape, reusing the capacity of a previously [`Scratch::put`]
 /// buffer when one is large enough (most-recently-returned first, so the
-/// cache-warm buffer wins). Once the pool has warmed up to a workload's
-/// working set, `take`/`put` cycles perform **zero heap allocations** — the
-/// [`Scratch::allocations`] counter only advances when a fresh buffer must
-/// be created, which is what the steady-state zero-allocation tests assert.
+/// cache-warm buffer wins). When none is, the largest pooled buffer is grown
+/// instead of adding another, so the pool never holds more buffers than
+/// were ever out at once; a long-lived arena fed graphs of varying size
+/// stays as small as its largest working set. Once the pool has warmed up
+/// to a workload's working set, `take`/`put` cycles perform **zero heap
+/// allocations** — the [`Scratch::allocations`] counter only advances when
+/// no pooled buffer is large enough, which is what the steady-state
+/// zero-allocation tests assert.
 #[derive(Debug, Default)]
 pub struct Scratch {
     pool: Vec<Vec<f32>>,
@@ -543,7 +555,8 @@ impl Scratch {
                 if need > 0 {
                     self.allocations += 1;
                 }
-                Vec::with_capacity(need)
+                let largest = (0..self.pool.len()).max_by_key(|&i| self.pool[i].capacity());
+                largest.map_or_else(|| Vec::with_capacity(need), |i| self.pool.swap_remove(i))
             }
         };
         data.clear();
@@ -556,8 +569,8 @@ impl Scratch {
         self.pool.push(m.data);
     }
 
-    /// Number of fresh buffer allocations performed so far. Stable across
-    /// repeated same-shape workloads once warmed up.
+    /// Number of buffer allocations (fresh or grown) performed so far.
+    /// Stable across repeated same-shape workloads once warmed up.
     pub fn allocations(&self) -> usize {
         self.allocations
     }
@@ -694,11 +707,15 @@ mod tests {
         assert_eq!((b.rows, b.cols), (2, 16));
         assert!(b.data.iter().all(|&v| v == 0.0));
         s.put(b);
-        let c = s.take(8, 8); // larger, fresh allocation
+        let c = s.take(8, 8); // larger: grows the pooled buffer
         assert_eq!(s.allocations(), 2);
+        assert_eq!(s.pooled(), 0);
+        let e = s.take(2, 2); // empty pool: fresh allocation
+        assert_eq!(s.allocations(), 3);
         s.put(c);
-        let d = s.take(1, 4); // small, reuses a big buffer
-        assert_eq!(s.allocations(), 2);
+        s.put(e);
+        let d = s.take(1, 4); // small, reuses the most recent fit
+        assert_eq!(s.allocations(), 3);
         s.put(d);
         assert_eq!(s.pooled(), 2);
     }

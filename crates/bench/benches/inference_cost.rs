@@ -4,7 +4,8 @@
 //! tiled session-based forward, and, over the distinct schedule overlays of
 //! one CTI, times the session forward of each applied graph against the
 //! delta forward off one base pass and prints the share of hidden-state rows
-//! the delta recomputes.
+//! the delta recomputes and its matvecs per overlay, computed and reused
+//! from the base pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -71,15 +72,18 @@ fn bench_inference(c: &mut Criterion) {
     let mut delta_session = PicSession::new();
     let mut delta_cti = || {
         model.forward_base(&base, &mut delta_session);
-        let mut rows = 0;
+        let (mut rows, mut computed, mut reused) = (0, 0, 0);
         for o in &overlays {
             model.forward_overlay(&base, o, &mut delta_session);
             rows += delta_session.recomputed_rows();
+            let (c, r) = delta_session.matvecs();
+            computed += c;
+            reused += r;
         }
-        rows
+        (rows, computed, reused)
     };
     c.bench_function("pic_forward_delta", |bch| bch.iter(&mut delta_cti));
-    let rows = delta_cti();
+    let (rows, computed, reused) = delta_cti();
     let full_rows = overlays.len() * (model.cfg.layers + 1) * base.num_verts();
     println!(
         "{} distinct overlays of a {}-vertex CTI: the delta recomputes {rows} of {full_rows} \
@@ -87,6 +91,13 @@ fn bench_inference(c: &mut Criterion) {
         overlays.len(),
         base.num_verts(),
         100.0 * rows as f64 / full_rows as f64
+    );
+    let per_overlay = |x: usize| x as f64 / overlays.len() as f64;
+    println!(
+        "matvecs per overlay: {:.1} computed, {:.1} reused from the base pass ({:.0}% reused)",
+        per_overlay(computed),
+        per_overlay(reused),
+        100.0 * reused as f64 / (computed + reused) as f64
     );
 
     c.bench_function("pic_inference_with_graph_assembly", |bch| {

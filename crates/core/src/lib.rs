@@ -71,7 +71,7 @@ pub use snowboard::{
     ClusterMember, InsPair, Sampler, SamplingOutcome,
 };
 pub use strategy::{
-    standard_strategies, PositiveSet, PositiveVerts, S1NewBitmap, S2NewBlocks, S3LimitedTrials,
-    SelectionStrategy, StrategySnapshot,
+    standard_strategies, BlockOrder, PositiveSet, PositiveVerts, S1NewBitmap, S2NewBlocks,
+    S3LimitedTrials, SelectionStrategy, StrategySnapshot,
 };
 pub use triage::{render_findings, triage, Finding};

@@ -9,7 +9,7 @@
 //! inferences for a 50-execution budget).
 
 use crate::predictor::PredictorService;
-use crate::strategy::{PositiveVerts, SelectionStrategy};
+use crate::strategy::{BlockOrder, SelectionStrategy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_corpus::StiProfile;
@@ -173,8 +173,9 @@ pub fn explore_pct(
 /// on the benchmark campaign). Each distinct overlay is scored once per CTI
 /// by the chain's [`overlay_scorer`](crate::CoveragePredictor::overlay_scorer)
 /// (a delta forward on a direct [`crate::Pic`]); a repeat reuses its
-/// thresholded positives (a bitset over the base graph's vertex order) and
-/// is counted as [`reused`](crate::PredictorStats::reused). Every candidate
+/// thresholded positives (a bitset over the CTI's [`BlockOrder`], so S1's
+/// fingerprint sorts already-sorted pairs) and is counted as
+/// [`reused`](crate::PredictorStats::reused). Every candidate
 /// still reaches the strategy, in proposal order, since S3 charges a trial
 /// per selection. The reuse and the scorer are dropped whenever the chain's
 /// fingerprint changes (a served model hot-swapped mid-campaign), so the
@@ -192,6 +193,7 @@ pub fn explore_mlpct(
     let cti = Cti::new(a.sti.clone(), b.sti.clone());
     let seq_cov = seq_union(kernel, a, b);
     let base = service.base_graph(a, b);
+    let order = BlockOrder::new(&base.verts);
     let mut outcome = ExploreOutcome {
         executions: 0,
         inferences: 0,
@@ -229,12 +231,12 @@ pub fn explore_mlpct(
                 hit.into_mut()
             }
             Entry::Vacant(miss) => {
-                let bits = scorer.score(miss.key());
+                let bits = order.permute(&scorer.score(miss.key()));
                 miss.insert(bits)
             }
         };
         outcome.inferences += 1;
-        if !strategy.select(&PositiveVerts { verts: &base.verts, bits }) {
+        if !strategy.select(&order.positives(bits)) {
             continue;
         }
         let r = run_ct(kernel, &cti, hints, cfg.vm_config());

@@ -27,7 +27,9 @@ use std::collections::{HashMap, HashSet};
 /// [`SelectionStrategy`] decides on. A [`PredictedCoverage`] is one; MLPCT's
 /// per-CTI reuse passes [`PositiveVerts`] instead, so it keeps no graph.
 pub trait PositiveSet {
-    /// Every positive pair, in the graph's vertex order.
+    /// Every positive pair. The order is the implementor's (graph vertex
+    /// order, or (thread, block) order for [`PositiveVerts`]); no strategy
+    /// depends on it.
     fn positive_blocks(&self) -> Vec<(ThreadId, BlockId)>;
 }
 
@@ -37,18 +39,59 @@ impl PositiveSet for PredictedCoverage {
     }
 }
 
-/// A positive set given as a bitset over a graph's vertex order.
+/// A positive set given as a bitset over a CTI's vertices in (thread,
+/// block) order (see [`BlockOrder`]), so its pairs come out sorted.
 #[derive(Debug, Clone, Copy)]
 pub struct PositiveVerts<'g> {
-    /// The vertices the bits index (a candidate shares its base graph's).
-    pub verts: &'g [Vertex],
-    /// Bit `i` set iff `verts[i]` is predicted positive.
+    /// Every vertex's (thread, block), ascending.
+    pub blocks: &'g [(ThreadId, BlockId)],
+    /// Bit `j` set iff the vertex at `blocks[j]` is predicted positive.
     pub bits: &'g BitSet,
 }
 
 impl PositiveSet for PositiveVerts<'_> {
     fn positive_blocks(&self) -> Vec<(ThreadId, BlockId)> {
-        self.bits.iter().map(|i| (self.verts[i].thread, self.verts[i].block)).collect()
+        self.bits.iter().map(|j| self.blocks[j]).collect()
+    }
+}
+
+/// A CTI's vertices sorted by (thread, block). A candidate graph shares its
+/// base graph's vertices, so one order serves every candidate of the CTI:
+/// positives kept in it reach S1's fingerprint already sorted.
+#[derive(Debug, Clone)]
+pub struct BlockOrder {
+    /// Every vertex's (thread, block), ascending.
+    blocks: Vec<(ThreadId, BlockId)>,
+    /// Each vertex's position in `blocks`.
+    rank: Vec<u32>,
+}
+
+impl BlockOrder {
+    /// The order of `verts` (a CTI's base graph's vertices).
+    pub fn new(verts: &[Vertex]) -> Self {
+        let mut order: Vec<u32> = (0..verts.len() as u32).collect();
+        order.sort_by_key(|&i| (verts[i as usize].thread, verts[i as usize].block));
+        let mut rank = vec![0; verts.len()];
+        for (j, &i) in order.iter().enumerate() {
+            rank[i as usize] = j as u32;
+        }
+        let blocks = order.iter().map(|&i| (verts[i as usize].thread, verts[i as usize].block));
+        Self { blocks: blocks.collect(), rank }
+    }
+
+    /// `bits` over the graph's vertex order, re-indexed into this order.
+    pub fn permute(&self, bits: &BitSet) -> BitSet {
+        let mut sorted = BitSet::new(self.rank.len());
+        for i in bits.iter() {
+            sorted.insert(self.rank[i] as usize);
+        }
+        sorted
+    }
+
+    /// The positive set of bits already in this order (from
+    /// [`BlockOrder::permute`]).
+    pub fn positives<'a>(&'a self, sorted_bits: &'a BitSet) -> PositiveVerts<'a> {
+        PositiveVerts { blocks: &self.blocks, bits: sorted_bits }
     }
 }
 
@@ -108,13 +151,13 @@ impl S1NewBitmap {
 }
 
 fn bitmap_fingerprint(positives: &dyn PositiveSet) -> u64 {
-    let mut blocks: Vec<(u8, u32)> =
-        positives.positive_blocks().iter().map(|(t, b)| (t.0, b.0)).collect();
+    let mut blocks = positives.positive_blocks();
+    // Linear when the pairs arrive sorted, as `PositiveVerts` yields them.
     blocks.sort_unstable();
     // FNV-1a over the sorted positive set.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (t, b) in blocks {
-        h ^= (u64::from(t) << 32) | u64::from(b);
+        h ^= (u64::from(t.0) << 32) | u64::from(b.0);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
@@ -326,16 +369,51 @@ mod tests {
 
     #[test]
     fn bitset_view_decides_like_the_prediction() {
-        let p = pred_with_blocks(&[(0, 1), (1, 1), (0, 2), (1, 7)], &[true, true, false, true]);
-        let bits = p.positive_bits();
-        let view = PositiveVerts { verts: &p.graph.verts, bits: &bits };
-        assert_eq!(view.positive_blocks(), p.positive_blocks());
+        let p = pred_with_blocks(&[(1, 1), (0, 2), (0, 1), (1, 7)], &[true, false, true, true]);
+        let order = BlockOrder::new(&p.graph.verts);
+        let bits = order.permute(&p.positive_bits());
+        let view = order.positives(&bits);
+        let mut want = p.positive_blocks();
+        want.sort_unstable();
+        assert_eq!(view.positive_blocks(), want, "the same pairs, sorted");
         for mut s in standard_strategies() {
             let mut t = standard_strategies().into_iter().find(|t| t.name() == s.name()).unwrap();
             for _ in 0..4 {
                 assert_eq!(s.select(&view), t.select(&p), "{}", s.name());
             }
             assert_eq!(s.snapshot(), t.snapshot());
+        }
+    }
+
+    /// S1's fingerprint before positives came in (thread, block) order.
+    fn vertex_order_fingerprint(p: &PredictedCoverage) -> u64 {
+        let mut blocks: Vec<(u8, u32)> =
+            p.positive_blocks().iter().map(|(t, b)| (t.0, b.0)).collect();
+        blocks.sort_unstable();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (t, b) in blocks {
+            h ^= (u64::from(t) << 32) | u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    #[test]
+    fn fingerprint_of_sorted_positives_is_unchanged() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x51);
+        for case in 0..300 {
+            // Small block ids, so some (thread, block) pairs repeat.
+            let n = rng.gen_range(0..60);
+            let blocks: Vec<(u8, u32)> =
+                (0..n).map(|_| (rng.gen_range(0..2), rng.gen_range(0..40))).collect();
+            let positive: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+            let p = pred_with_blocks(&blocks, &positive);
+            let order = BlockOrder::new(&p.graph.verts);
+            let bits = order.permute(&p.positive_bits());
+            let want = vertex_order_fingerprint(&p);
+            assert_eq!(bitmap_fingerprint(&order.positives(&bits)), want, "case {case}");
+            assert_eq!(bitmap_fingerprint(&p), want, "case {case}");
         }
     }
 

@@ -9,17 +9,25 @@
 //! STIs), over a grid of model shapes, plus hand-built overlays: none, one
 //! edge, a second edge back into the first edge's source, and an overlay on
 //! a base that already carries one (so a target's mark stays put while its
-//! Schedule in-edges change). It also checks `Pic`'s delta scorer against
-//! the default apply-and-predict scorer, counters included, and that pooled
-//! sessions stop allocating once warm.
+//! Schedule in-edges change). Every overlay's work must match a reference
+//! built from the edge list: the frontier grown from every frontier row,
+//! and per frontier row which self terms and per-kind messages are
+//! recomputed and which are the base pass's. A hand-built graph pins a row
+//! that reuses one kind's message next to a recomputed kind. It also checks
+//! `Pic`'s delta scorer against the default apply-and-predict scorer,
+//! counters included, and that pooled sessions, base passes included, stop
+//! allocating once warm.
 
 use snowcat_cfg::KernelCfg;
 use snowcat_core::{CoveragePredictor, ParallelPredictor, Pic};
-use snowcat_graph::{CtGraph, CtGraphBuilder, SchedMark, ScheduleOverlay, StaticFeats};
-use snowcat_kernel::{generate, GenConfig, Kernel, SyscallId, ThreadId};
+use snowcat_graph::{
+    CtGraph, CtGraphBuilder, Edge, EdgeKind, SchedMark, ScheduleOverlay, StaticFeats, VertKind,
+    Vertex,
+};
+use snowcat_kernel::{generate, BlockId, GenConfig, Kernel, SyscallId, ThreadId};
 use snowcat_nn::{Checkpoint, PicConfig, PicModel, PicSession};
 use snowcat_vm::{run_sequential, ScheduleHints, Sti, SwitchPoint, SyscallInvocation};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 fn sti(calls: &[u32]) -> Sti {
     Sti::new(
@@ -106,6 +114,66 @@ fn bits(probs: &[f32]) -> Vec<u32> {
     probs.iter().map(|p| p.to_bits()).collect()
 }
 
+/// The work a delta forward of `overlay` must do over `layers`
+/// message-passing layers, from the edge lists alone: (recomputed rows,
+/// (computed matvecs, reused matvecs)). The frontier starts at the
+/// endpoints whose mark changes and each layer adds every out-neighbour of
+/// every frontier row plus the overlay's targets. A frontier row recomputes
+/// its self term iff it was on the previous frontier, and a kind's message
+/// iff a source was or the kind is Schedule and the row is a target; it
+/// reuses the rest of its terms.
+fn reference_work(
+    base: &CtGraph,
+    overlay: &ScheduleOverlay,
+    layers: usize,
+) -> (usize, (usize, usize)) {
+    let changes = |v: u32| {
+        let mark = base.verts[v as usize].sched_mark;
+        overlay.mark(v, mark) != mark
+    };
+    let ends = overlay.edges().iter().flat_map(|&(from, to)| [from, to]);
+    let mut front: BTreeSet<u32> = ends.filter(|&v| changes(v)).collect();
+    let (mut rows, mut computed, mut reused) = (front.len(), front.len(), 0);
+    // Sources of each (row, kind) in the applied graph.
+    let kinds = EdgeKind::ALL.len();
+    let mut sources = vec![Vec::new(); base.num_verts() * kinds];
+    let added = overlay.edges().iter().map(|&(from, to)| (from, to, EdgeKind::Schedule));
+    for (from, to, kind) in base.edges.iter().map(|e| (e.from, e.to, e.kind)).chain(added) {
+        sources[to as usize * kinds + kind.index()].push(from);
+    }
+    for _ in 0..layers {
+        let prev = front.clone();
+        for e in &base.edges {
+            if prev.contains(&e.from) {
+                front.insert(e.to);
+            }
+        }
+        front.extend(overlay.edges().iter().map(|e| e.1));
+        for &v in &front {
+            if prev.contains(&v) {
+                computed += 1;
+            } else {
+                reused += 1;
+            }
+            let targeted = overlay.edges().iter().any(|e| e.1 == v);
+            for kind in EdgeKind::ALL {
+                let srcs = &sources[v as usize * kinds + kind.index()];
+                if srcs.is_empty() {
+                    continue;
+                }
+                let retargeted = kind == EdgeKind::Schedule && targeted;
+                if retargeted || srcs.iter().any(|u| prev.contains(u)) {
+                    computed += 1;
+                } else {
+                    reused += 1;
+                }
+            }
+        }
+        rows += front.len();
+    }
+    (rows, (computed, reused))
+}
+
 /// Delta probabilities of every overlay equal the full forward's, bit for
 /// bit; returns (recomputed rows, full-pass rows) over all of them.
 fn check_overlays(
@@ -122,6 +190,12 @@ fn check_overlays(
         let want = model.forward(&overlay.apply(base));
         let got = model.forward_overlay(base, overlay, session);
         assert_eq!(bits(got), bits(&want), "{what}: overlay {:?}", overlay.edges());
+        assert_eq!(
+            (session.recomputed_rows(), session.matvecs()),
+            reference_work(base, overlay, model.cfg.layers),
+            "{what}: work of overlay {:?}",
+            overlay.edges()
+        );
         assert!(session.recomputed_rows() <= layers * base.num_verts());
         if overlay.edges().is_empty() {
             assert_eq!(
@@ -182,6 +256,65 @@ fn delta_forward_matches_the_applied_forward_bitwise() {
                 }
             }
         }
+    }
+}
+
+/// A vertex of a hand-built graph.
+fn vertex(i: u32, mark: SchedMark) -> Vertex {
+    Vertex {
+        block: BlockId(i),
+        thread: ThreadId((i % 2) as u8),
+        kind: VertKind::Scb,
+        sched_mark: mark,
+        may_race: false,
+        tokens: vec![1 + i, 7],
+        static_feats: StaticFeats::default(),
+    }
+}
+
+#[test]
+fn a_frontier_row_reuses_an_unchanged_kind_next_to_a_recomputed_one() {
+    use EdgeKind::{IntraFlow, ScbFlow, Schedule, Shortcut};
+    // The base already yields 4 → 1. The overlay adds 0 → 1, so only 0's
+    // mark changes: the input frontier is {0}, and 1 joins at layer 1 as a
+    // target whose Schedule sources (4, off the frontier, and now 0) changed.
+    // Row 2 joins at layer 1 through ScbFlow from 0, which is recomputed,
+    // while its IntraFlow message from 3 (never on the frontier) is reused.
+    let marks = [
+        SchedMark::None,
+        SchedMark::ResumeTarget,
+        SchedMark::None,
+        SchedMark::None,
+        SchedMark::YieldSource,
+        SchedMark::None,
+    ];
+    let base = CtGraph {
+        verts: marks.iter().enumerate().map(|(i, &m)| vertex(i as u32, m)).collect(),
+        edges: [(0, 2, ScbFlow), (3, 2, IntraFlow), (4, 1, Schedule), (2, 5, Shortcut)]
+            .into_iter()
+            .map(|(from, to, kind)| Edge { from, to, kind })
+            .collect(),
+    };
+    let overlay = ScheduleOverlay::new(vec![(0, 1)]);
+    // Layer 1: frontier [0, 2, 1]; 0 recomputes its self term, 2 and 1
+    // reuse theirs; 2 recomputes ScbFlow and reuses IntraFlow; 1 recomputes
+    // Schedule. Layer 2: [0, 2, 1, 5]; the first three recompute their self
+    // terms; 2 still reuses IntraFlow; 5 reuses its self term and
+    // recomputes Shortcut. Computed: 1 input row + 3 + 6; reused: 3 + 2.
+    let want_work = [(1, (1, 0)), (4, (4, 3)), (8, (10, 5))];
+    let mut session = PicSession::new();
+    for (layers, want) in want_work.into_iter().enumerate() {
+        let model = PicModel::new(PicConfig {
+            layers,
+            hidden: 8,
+            seed: 0xC1D + layers as u64,
+            ..PicConfig::default()
+        });
+        model.forward_base(&base, &mut session);
+        let got = model.forward_overlay(&base, &overlay, &mut session);
+        assert_eq!(bits(got), bits(&model.forward(&overlay.apply(&base))), "{layers} layers");
+        assert_eq!((session.recomputed_rows(), session.matvecs()), want, "{layers} layers");
+        assert_eq!(want, reference_work(&base, &overlay, layers));
     }
 }
 
@@ -246,7 +379,8 @@ fn pooled_sessions_stop_allocating_once_warm() {
     }
 
     // Within one CTI: once every overlay has been through the session, its
-    // scratch arena serves each of them again without allocating.
+    // scratch arena serves each of them again, and the base pass with its
+    // kept layers, self terms and messages, without allocating.
     let (base, overlays) = ctis.iter().max_by_key(|(_, o)| o.len()).unwrap();
     let mut session = PicSession::new();
     model.forward_base(base, &mut session);
@@ -257,5 +391,28 @@ fn pooled_sessions_stop_allocating_once_warm() {
     for overlay in overlays {
         model.forward_overlay(base, overlay, &mut session);
         assert_eq!(session.allocations(), warm, "overlay {:?}", overlay.edges());
+    }
+    model.forward_base(base, &mut session);
+    assert_eq!(session.allocations(), warm, "a second base pass");
+
+    // A bare session fed every CTI's base pass and overlays, then one full
+    // forward (which hands the base buffers back to the pool), stops
+    // allocating after one round.
+    let mut probs = Vec::new();
+    let mut round = |session: &mut PicSession| {
+        for (base, overlays) in &ctis {
+            model.forward_base(base, session);
+            for overlay in overlays {
+                model.forward_overlay(base, overlay, session);
+            }
+        }
+        model.forward_into(&ctis[0].0, session, &mut probs);
+    };
+    let mut session = PicSession::new();
+    round(&mut session);
+    let warm = session.allocations();
+    for pass in 0..3 {
+        round(&mut session);
+        assert_eq!(session.allocations(), warm, "bare session, pass {pass}");
     }
 }

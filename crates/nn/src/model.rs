@@ -59,7 +59,22 @@
 //! per-vertex reduction order above (Schedule sources: base edges first,
 //! then the overlay edges in switch order, as in the CSR of the applied
 //! graph); every other row is read from the base pass, and the head runs
-//! on the last frontier only.
+//! on the last frontier only. The frontier only grows, so each layer grows
+//! it from the rows the previous layer admitted: older rows' out-neighbours
+//! are on it already.
+//!
+//! A frontier row's terms are reused at kind level too. The base pass also
+//! keeps, per layer, every row's self term `b + h·W_self` and each kind's
+//! transformed message rows `mean_r(h)·W_r`. A frontier row recomputes its
+//! self term only if it was on the previous layer's frontier (its own input
+//! changed), and a kind's message only if one of its sources was, or if
+//! the kind is Schedule and the row is an overlay target (its source list
+//! changed); every other term is the base pass's row. A reused term is the
+//! same fold over the same inputs the full forward computed (bias-first
+//! `accum_row` for the self term, a from-zero matmul row for a message),
+//! and the row is still assembled as self term, then completed message rows
+//! in ascending kind order, then relu and residual — so the delta stays
+//! bit-identical. [`PicSession::matvecs`] reports the split.
 
 use crate::tensor::{accum_row, bce_grad, bce_with_logit, relu_slice, sigmoid, Mat, Scratch};
 use rand::{Rng, SeedableRng};
@@ -378,6 +393,24 @@ fn head_logit(h_row: &[f32], w_out: &Mat, b_out: &Mat) -> f32 {
     acc
 }
 
+/// Row offsets of each kind's block in a stacked per-layer message matrix
+/// (kinds ascending); the last entry is the total row count.
+fn msg_offsets(adj: &CsrAdj) -> [usize; NUM_EDGE_TYPES + 1] {
+    let mut off = [0; NUM_EDGE_TYPES + 1];
+    for r in 0..NUM_EDGE_TYPES {
+        off[r + 1] = off[r] + adj.kind(r).touched().len();
+    }
+    off
+}
+
+/// `out += xs` element-wise (one rounded add per element).
+#[inline]
+fn add_row(out: &mut [f32], xs: &[f32]) {
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o += x;
+    }
+}
+
 /// Slot of a vertex outside the frontier.
 const OFF_FRONTIER: u32 = u32::MAX;
 
@@ -408,7 +441,8 @@ pub struct ForwardCache {
 
 /// Reusable per-session state for allocation-free inference: a [`Scratch`]
 /// arena for intermediate matrices, a rebuildable [`CsrAdj`], the hidden
-/// state of the last full forward and the delta forward's frontier.
+/// state of the last full forward (with a base pass's self terms and
+/// per-kind messages) and the delta forward's frontier.
 ///
 /// Hold one per inference thread and pass it to [`PicModel::forward_into`]
 /// (or [`PicModel::forward_base`] and [`PicModel::forward_overlay`]) for
@@ -424,6 +458,13 @@ pub struct PicSession {
     /// [`PicModel::forward_base`]; only the final one after
     /// [`PicModel::forward_into`].
     layer_h: Vec<Mat>,
+    /// Per message-passing layer of the last [`PicModel::forward_base`]:
+    /// every row's self term `b + h·W_self` (`n × d`)…
+    layer_self: Vec<Mat>,
+    /// …and every kind's transformed messages `mean_r(h)·W_r`, kinds
+    /// stacked in ascending order (rows [`msg_offsets`]`[r]..[r + 1]`, the
+    /// kind's `touched` order within).
+    layer_msg: Vec<Mat>,
     /// Probabilities of the last [`PicModel::forward_base`] (cleared by
     /// [`PicModel::forward_into`]).
     base_probs: Vec<f32>,
@@ -434,6 +475,7 @@ pub struct PicSession {
     /// Probabilities of the last [`PicModel::forward_overlay`].
     overlay_probs: Vec<f32>,
     recomputed_rows: usize,
+    matvecs: (usize, usize),
 }
 
 impl PicSession {
@@ -453,6 +495,14 @@ impl PicSession {
     /// forward computes `(layers + 1) × n`.
     pub fn recomputed_rows(&self) -> usize {
         self.recomputed_rows
+    }
+
+    /// Row-times-weight products of the last [`PicModel::forward_overlay`]
+    /// as `(computed, reused)`: computed counts the input transforms, self
+    /// terms and per-kind messages it recomputed; reused counts the self
+    /// terms and messages of frontier rows it took from the base pass.
+    pub fn matvecs(&self) -> (usize, usize) {
+        self.matvecs
     }
 }
 
@@ -572,15 +622,17 @@ impl PicModel {
 
     /// The full trunk over `graph`: rebuilds the session's adjacency and
     /// leaves the final hidden state in `session.layer_h`, preceded by every
-    /// earlier layer's when `keep_layers` (a base pass for overlays).
+    /// earlier layer's when `keep_layers` (a base pass for overlays), which
+    /// also keeps each layer's self terms and per-kind messages.
     fn trunk_into(&self, graph: &CtGraph, session: &mut PicSession, keep_layers: bool) {
         let n = graph.num_verts();
         let d = self.cfg.hidden;
-        let PicSession { scratch, adj, layer_h, .. } = session;
+        let PicSession { scratch, adj, layer_h, layer_self, layer_msg, .. } = session;
         adj.rebuild(graph);
-        for h in layer_h.drain(..) {
-            scratch.put(h);
+        for m in layer_h.drain(..).chain(layer_self.drain(..)).chain(layer_msg.drain(..)) {
+            scratch.put(m);
         }
+        let msg_rows = msg_offsets(adj)[NUM_EDGE_TYPES];
         let mut x = scratch.take(n, d);
         self.input_features_into(graph, &mut x);
         // Fused input transform: h0 = relu(b_in + x @ w_in).
@@ -594,6 +646,13 @@ impl PicModel {
             let mut z = scratch.take(n, d);
             z.fill_row_broadcast(&layer.b);
             h.matmul_acc_into(&layer.w_self, &mut z);
+            if keep_layers {
+                let mut s = scratch.take(n, d);
+                s.data.copy_from_slice(&z.data);
+                layer_self.push(s);
+            }
+            let mut msgs = keep_layers.then(|| scratch.take(msg_rows, d));
+            let mut kept = 0;
             for (r, w_rel) in layer.w_rel.iter().enumerate() {
                 let ka = adj.kind(r);
                 let t = ka.touched().len();
@@ -605,9 +664,14 @@ impl PicModel {
                 let mut mw = scratch.take(t, d);
                 m.matmul_into(w_rel, &mut mw);
                 scatter_add_rows(ka, &mw, &mut z);
+                if let Some(msgs) = &mut msgs {
+                    msgs.data[kept..kept + mw.data.len()].copy_from_slice(&mw.data);
+                    kept += mw.data.len();
+                }
                 scratch.put(m);
                 scratch.put(mw);
             }
+            layer_msg.extend(msgs);
             // h_out = relu(z) + h_in.
             z.relu_inplace();
             z.add_assign(h);
@@ -650,9 +714,12 @@ impl PicModel {
 
     /// Probabilities of `overlay.apply(base)`, bit-identical to
     /// [`PicModel::forward_into`] on that graph but recomputing only the
-    /// rows the overlay can reach (see the module doc); every other row is
-    /// the base pass's. `session` must hold [`PicModel::forward_base`] of
-    /// this `base`. [`PicSession::recomputed_rows`] reports the work done.
+    /// rows the overlay can reach, and within them only the self terms and
+    /// per-kind messages whose inputs changed (see the module doc); every
+    /// other row and term is the base pass's. `session` must hold
+    /// [`PicModel::forward_base`] of this `base`.
+    /// [`PicSession::recomputed_rows`] and [`PicSession::matvecs`] report the
+    /// work done.
     pub fn forward_overlay<'s>(
         &self,
         base: &CtGraph,
@@ -661,16 +728,29 @@ impl PicModel {
     ) -> &'s [f32] {
         let n = base.num_verts();
         let d = self.cfg.hidden;
-        let PicSession { scratch, adj, layer_h, base_probs, front, slot, overlay_probs, .. } =
-            session;
+        let PicSession {
+            scratch,
+            adj,
+            layer_h,
+            layer_self,
+            layer_msg,
+            base_probs,
+            front,
+            slot,
+            overlay_probs,
+            ..
+        } = session;
+        let layers = self.params.layers.len();
         assert!(
-            layer_h.len() == self.params.layers.len() + 1
+            layer_h.len() == layers + 1
+                && layer_self.len() == layers
                 && base_probs.len() == n
                 && adj.num_verts() == n,
             "forward_overlay needs forward_base of the same graph first"
         );
         let edges = overlay.edges();
         let sched = EdgeKind::Schedule.index();
+        let msg_off = msg_offsets(adj);
         front.clear();
         slot.clear();
         slot.resize(n, OFF_FRONTIER);
@@ -696,12 +776,16 @@ impl PicModel {
         }
         scratch.put(x);
         let mut rows = front.len();
+        let (mut computed, mut reused) = (front.len(), 0);
 
         let mut m = scratch.take(1, d);
         let mut mw = scratch.take(1, d);
-        for (layer, h_base) in self.params.layers.iter().zip(layer_h.iter()) {
+        // Frontier rows whose out-neighbours are not admitted yet.
+        let mut grown = 0;
+        for (l, layer) in self.params.layers.iter().enumerate() {
+            let (h_base, self_base, msg_base) = (&layer_h[l], &layer_self[l], &layer_msg[l]);
             let prev_len = front.len();
-            for j in 0..prev_len {
+            for j in grown..prev_len {
                 let u = front[j] as usize;
                 for r in 0..NUM_EDGE_TYPES {
                     for &v in adj.kind(r).out_dests(u) {
@@ -709,34 +793,48 @@ impl PicModel {
                     }
                 }
             }
+            grown = prev_len;
             for &(_, to) in edges {
                 admit(front, slot, to);
             }
-            // This layer's input row of `u`: the frontier's when `u` was
-            // recomputed below, the base pass's otherwise.
-            let h_in = |u: u32| match slot[u as usize] {
-                s if (s as usize) < prev_len => prev.row(s as usize),
-                _ => h_base.row(u as usize),
+            // Whether `u`'s input row to this layer differs from the base
+            // pass's (it was recomputed at the previous layer), and that row.
+            let changed = |u: u32| (slot[u as usize] as usize) < prev_len;
+            let h_in = |u: u32| match changed(u) {
+                true => prev.row(slot[u as usize] as usize),
+                false => h_base.row(u as usize),
             };
             let mut next = scratch.take(front.len(), d);
             for (j, &v) in front.iter().enumerate() {
                 let z = next.row_mut(j);
-                z.copy_from_slice(&layer.b.data);
-                accum_row(z, h_in(v), &layer.w_self);
+                if changed(v) {
+                    z.copy_from_slice(&layer.b.data);
+                    accum_row(z, h_in(v), &layer.w_self);
+                    computed += 1;
+                } else {
+                    z.copy_from_slice(self_base.row(v as usize));
+                    reused += 1;
+                }
+                let targeted = edges.iter().any(|e| e.1 == v);
                 for (r, w_rel) in layer.w_rel.iter().enumerate() {
-                    let added: &[(u32, u32)] = if r == sched { edges } else { &[] };
-                    let base_srcs = adj.kind(r).in_sources(v as usize).iter().copied();
+                    let ka = adj.kind(r);
+                    let base_srcs = ka.in_sources(v as usize);
+                    let added: &[(u32, u32)] = if r == sched && targeted { edges } else { &[] };
+                    if added.is_empty() && !base_srcs.iter().any(|&u| changed(u)) {
+                        // Same sources, same inputs: the base pass's message
+                        // (none when `v` has no in-edge of this kind).
+                        if let Some(row) = ka.compact_row(v as usize) {
+                            add_row(z, msg_base.row(msg_off[r] + row));
+                            reused += 1;
+                        }
+                        continue;
+                    }
                     let added_srcs = added.iter().filter(|e| e.1 == v).map(|e| e.0);
                     m.data.fill(0.0);
                     let mut deg = 0usize;
-                    for u in base_srcs.chain(added_srcs) {
-                        for (o, s) in m.data.iter_mut().zip(h_in(u)) {
-                            *o += s;
-                        }
+                    for u in base_srcs.iter().copied().chain(added_srcs) {
+                        add_row(&mut m.data, h_in(u));
                         deg += 1;
-                    }
-                    if deg == 0 {
-                        continue;
                     }
                     if deg > 1 {
                         let deg = deg as f32;
@@ -746,14 +844,11 @@ impl PicModel {
                     }
                     mw.data.fill(0.0);
                     accum_row(&mut mw.data, &m.data, w_rel);
-                    for (o, &x) in z.iter_mut().zip(&mw.data) {
-                        *o += x;
-                    }
+                    add_row(z, &mw.data);
+                    computed += 1;
                 }
                 relu_slice(z);
-                for (o, &h) in z.iter_mut().zip(h_in(v)) {
-                    *o += h;
-                }
+                add_row(z, h_in(v));
             }
             rows += front.len();
             scratch.put(std::mem::replace(&mut prev, next));
@@ -769,6 +864,7 @@ impl PicModel {
         }
         scratch.put(prev);
         session.recomputed_rows = rows;
+        session.matvecs = (computed, reused);
         &session.overlay_probs
     }
 

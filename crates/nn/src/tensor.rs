@@ -524,8 +524,11 @@ impl Mat {
 ///
 /// Lifetime rules: [`Scratch::take`] hands out a zeroed `Mat` of the
 /// requested shape, reusing the capacity of a previously [`Scratch::put`]
-/// buffer when one is large enough (most-recently-returned first, so the
-/// cache-warm buffer wins). When none is, the largest pooled buffer is grown
+/// buffer when one is large enough: the smallest that fits, so a small
+/// request does not take a buffer a later large one needs (a base pass
+/// holds buffers of many sizes across overlays), and among equals the
+/// most recently returned, so the cache-warm buffer wins. When none is
+/// large enough, the largest pooled buffer is grown
 /// instead of adding another, so the pool never holds more buffers than
 /// were ever out at once; a long-lived arena fed graphs of varying size
 /// stays as small as its largest working set. Once the pool has warmed up
@@ -549,7 +552,11 @@ impl Scratch {
     /// possible.
     pub fn take(&mut self, rows: usize, cols: usize) -> Mat {
         let need = rows * cols;
-        let mut data = match self.pool.iter().rposition(|b| b.capacity() >= need) {
+        let fit = (0..self.pool.len())
+            .rev()
+            .filter(|&i| self.pool[i].capacity() >= need)
+            .min_by_key(|&i| self.pool[i].capacity());
+        let mut data = match fit {
             Some(i) => self.pool.swap_remove(i),
             None => {
                 if need > 0 {
@@ -714,7 +721,7 @@ mod tests {
         assert_eq!(s.allocations(), 3);
         s.put(c);
         s.put(e);
-        let d = s.take(1, 4); // small, reuses the most recent fit
+        let d = s.take(1, 4); // small, reuses the smallest fit
         assert_eq!(s.allocations(), 3);
         s.put(d);
         assert_eq!(s.pooled(), 2);
